@@ -135,6 +135,12 @@ def end_to_end(meas, colds):
     return values, context
 
 
+def applies_to(doc, name):
+    """Workloads a per-layer metric applies to: those of its layer, the
+    prefix before the first dot of its name."""
+    return doc["layers"][name.split(".", 1)[0]]["applies_to"]
+
+
 def check_names(printed, declared, what):
     """Every metric name printed must be declared in BENCHMARK.json."""
     unknown = sorted(set(printed) - set(declared))
@@ -176,8 +182,8 @@ def main():
                         "--trace-out", trace_file)
         layers = run["layers"]
         check_names(layers, declared, "per-layer")
-        applies = sorted(n for n, d in doc["per_layer"].items()
-                         if a.workload in d["applies_to"])
+        applies = sorted(n for n in doc["per_layer"]
+                         if a.workload in applies_to(doc, n))
         if sorted(layers) != applies:
             die("traced run does not match metrics.json applies_to: "
                 + ", ".join(sorted(set(layers) ^ set(applies))))

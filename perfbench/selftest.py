@@ -58,9 +58,12 @@ def main():
            "metrics.json documents exactly the per-layer metrics")
     workloads = ({w["name"] for w in bench["workloads"]} |
                  set(doc["manual_workloads"]))
-    expect(all(set(d["applies_to"]) <= workloads
-               for d in doc["per_layer"].values()),
-           "applies_to names only known workloads")
+    expect(all(n.split(".", 1)[0] in doc["layers"] for n in per_layer),
+           "every per-layer metric belongs to a layer of metrics.json")
+    expect(all(set(layer["applies_to"]) <= workloads and
+               all(m["workload"] in workloads for m in layer["should_move"])
+               for layer in doc["layers"].values()),
+           "layers name only known workloads")
 
     for trace, key in ((0, "end_to_end"), (1, "per_layer")):
         r = bench_run(ROOT, "--workload", "batched_mix", "--seed", "1",
