@@ -198,7 +198,31 @@ struct Nrm2Range<float> {
   static constexpr float hi = 1e17f;
 };
 
+// Packing only pays off once the product is big enough; the ib-panel
+// products inside geqrt/tsqrt (k <= ib slivers, tiny C blocks) go direct.
+// A tiny C with a long accumulation dimension (the recursive panels' base
+// applies: 8x8 output, k = tile height) still wants the packed kernel —
+// the dot-ordered loops are latency-bound there.
+bool gemm_direct(int m, int n, int k) {
+  return k <= detail::kSmallK ||
+         (static_cast<long long>(m) * n <= detail::kSmallMN &&
+          k <= detail::kSmallDirectK);
+}
+
 }  // namespace
+
+template <class T>
+int gemm_row_block(int m, int n, int k, int parts) {
+  constexpr int MR = detail::MicroTile<T>::kMR;
+  if (parts <= 1 || gemm_direct(m, n, k)) return m;
+  const int rb = ((m + parts - 1) / parts + MR - 1) / MR * MR;
+  if (rb >= m) return m;
+  // The last block is the smallest; the packed kernel adds each C entry's
+  // KC-blocked sum, started at zero, independently of the row offset, so
+  // blocks on the packed path reproduce the whole product bitwise.
+  const int last = m - (m - 1) / rb * rb;
+  return gemm_direct(last, n, k) ? m : rb;
+}
 
 template <class T>
 void gemm(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> A,
@@ -212,16 +236,7 @@ void gemm(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> A,
   scale_c<T>(beta, C);
   if (alpha == T(0) || ka == 0 || C.m == 0 || C.n == 0) return;
 
-  // Packing only pays off once the product is big enough; the ib-panel
-  // products inside geqrt/tsqrt (k <= ib slivers, tiny C blocks) go direct.
-  // A tiny C with a long accumulation dimension (the recursive panels' base
-  // applies: 8x8 output, k = tile height) still wants the packed kernel —
-  // the dot-ordered loops are latency-bound there.
-  const bool small =
-      (ka <= detail::kSmallK) ||
-      (static_cast<long long>(C.m) * C.n <= detail::kSmallMN &&
-       ka <= detail::kSmallDirectK);
-  if (small) {
+  if (gemm_direct(C.m, C.n, ka)) {
     gemm_small<T>(ta, tb, alpha, A, B, C);
     return;
   }
@@ -242,11 +257,7 @@ void gemm_trap(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> A,
   if (alpha == T(0) || ka == 0 || C.m == 0 || C.n == 0) return;
 
   const bool upper = (uplo == UpLo::Upper);
-  const bool small =
-      (ka <= detail::kSmallK) ||
-      (static_cast<long long>(C.m) * C.n <= detail::kSmallMN &&
-       ka <= detail::kSmallDirectK);
-  if (small) {
+  if (gemm_direct(C.m, C.n, ka)) {
     // Densify the masked operand into scratch (valid support copied,
     // everything else zeroed) and reuse the direct loops: masked packing
     // only pays off on the blocked path.
@@ -708,6 +719,7 @@ void trsm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixViewT<T> A,
 #define TBSVD_INSTANTIATE_BLAS(T)                                             \
   template void gemm<T>(Trans, Trans, T, ConstMatrixViewT<T>,                 \
                         ConstMatrixViewT<T>, T, MatrixViewT<T>);              \
+  template int gemm_row_block<T>(int, int, int, int);                         \
   template void gemm_trap<T>(Trans, Trans, T, ConstMatrixViewT<T>,            \
                              ConstMatrixViewT<T>, T, MatrixViewT<T>,          \
                              TrapSide, UpLo, int);                            \

@@ -19,6 +19,17 @@ template <class T>
 void gemm(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> A,
           ConstMatrixViewT<T> B, T beta, MatrixViewT<T> C);
 
+/// Row-block height for splitting an m x n (inner dimension k) gemm into
+/// at most `parts` contiguous row blocks, each a separate gemm call on
+/// sub-views of op(A) and C, whose results are bitwise those of the single
+/// call: the height is a multiple of the micro-tile, and every block takes
+/// the kernel path the whole product takes. Returns m when the product must
+/// stay one call (parts <= 1, the whole product or its smallest block on
+/// the direct path). Lets a threaded caller split products without
+/// changing their results.
+template <class T>
+[[nodiscard]] int gemm_row_block(int m, int n, int k, int parts);
+
 /// Which operand of gemm_trap carries the trapezoidal support mask.
 enum class TrapSide { A, B };
 

@@ -12,6 +12,7 @@
 #include "common/hazard.hpp"
 #include "common/rng.hpp"
 #include "lac/blas.hpp"
+#include "runtime/task_graph.hpp"
 #include "tune/tune.hpp"
 
 namespace tbsvd {
@@ -90,6 +91,34 @@ void one_sided_jacobi(MatrixViewT<T> W, MatrixViewT<T> J,
   }
 }
 
+/// C := op(A) * B with C's rows split into up to one contiguous block per
+/// worker, each block one task running the serial gemm on sub-views of A
+/// and C. The block height comes from gemm_row_block, so the result is
+/// bitwise the single call's at any worker count; products too small to
+/// give each block kMinFmaPerWorker stay one call on the calling thread.
+template <class T>
+void gemm_rows(Trans ta, ConstMatrixViewT<T> A, ConstMatrixViewT<T> B,
+               MatrixViewT<T> C, int nthreads) {
+  const int parts =
+      workers_for(static_cast<long long>(C.m) * C.n * B.m, nthreads);
+  const int rb = gemm_row_block<T>(C.m, C.n, B.m, parts);
+  if (rb == C.m) {
+    gemm<T>(ta, Trans::No, T(1), A, B, T(0), C);
+    return;
+  }
+  TaskGraph g;
+  for (int r0 = 0; r0 < C.m; r0 += rb) {
+    const int mr = std::min(rb, C.m - r0);
+    const ConstMatrixViewT<T> Ab =
+        ta == Trans::No ? A.block(r0, 0, mr, A.n) : A.block(0, r0, A.m, mr);
+    const MatrixViewT<T> Cb = C.block(r0, 0, mr, C.n);
+    g.submit("rsvd_gemm_rows",
+             [ta, Ab, B, Cb] { gemm<T>(ta, Trans::No, T(1), Ab, B, T(0), Cb); },
+             {{Cb.a, Access::Write}});
+  }
+  g.run(static_cast<int>(g.size()));  // one worker per block
+}
+
 }  // namespace
 
 template <class T>
@@ -120,13 +149,17 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
     throw numerical_hazard_error("gesvd_truncated: non-finite entry in input");
   }
 
-  // Safe-scaled working copy (the sketch products square the norm, so the
-  // sketch must see data already inside the per-precision safe range).
-  MatrixT<T> Aw(m, n);
-  copy<T>(A, Aw.view());
+  // The sketch products square the norm, so they must see data already
+  // inside the per-precision safe range: out-of-range inputs are scaled on
+  // a working copy, everything else is read in place.
+  MatrixT<T> scaled;
+  ConstMatrixViewT<T> Aw = A;
   const double target = svd_safe_target<T>(scan.amax);
   if (target != scan.amax) {
-    scale_stepwise<T>(Aw.view(), scan.amax, target);
+    scaled = MatrixT<T>(m, n);
+    copy<T>(A, scaled.view());
+    scale_stepwise<T>(scaled.view(), scan.amax, target);
+    Aw = scaled.cview();
     si.scaled = true;
     si.scale_from = scan.amax;
     si.scale_to = target;
@@ -144,8 +177,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
     for (int i = 0; i < n; ++i) Omega(i, j) = static_cast<T>(rng.normal());
   }
   MatrixT<T> Y(m, l);
-  gemm<T>(Trans::No, Trans::No, T(1), Aw.cview(), Omega.cview(), T(0),
-          Y.view());
+  gemm_rows<T>(Trans::No, Aw, Omega.cview(), Y.view(), opts.nthreads);
   if (TBSVD_FAULT_FIRE("rsvd.sketch_poison")) {
     Y(0, 0) = std::numeric_limits<T>::quiet_NaN();
   }
@@ -171,11 +203,9 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   // times the dimension factors cannot overflow the working precision.
   for (int it = 0; it < opts.power_iters; ++it) {
     MatrixT<T> Z(n, l);
-    gemm<T>(Trans::Yes, Trans::No, T(1), Aw.cview(), Y.cview(), T(0),
-            Z.view());
+    gemm_rows<T>(Trans::Yes, Aw, Y.cview(), Z.view(), opts.nthreads);
     const MatrixT<T> Qz = orthonormalize(Z.cview());  // n x l, cheap
-    gemm<T>(Trans::No, Trans::No, T(1), Aw.cview(), Qz.cview(), T(0),
-            Y.view());
+    gemm_rows<T>(Trans::No, Aw, Qz.cview(), Y.view(), opts.nthreads);
   }
   const MatrixT<T> Q = orthonormalize(Y.cview());  // m x l
   si.ge2bnd_tasks = tasks;
@@ -183,17 +213,19 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   // Projected matrix, stored transposed: W = A^T Q = B^T (n x l, tall),
   // the m >= n orientation the shared direct staging wants.
   MatrixT<T> W(n, l);
-  gemm<T>(Trans::Yes, Trans::No, T(1), Aw.cview(), Q.cview(), T(0), W.view());
+  gemm_rows<T>(Trans::Yes, Aw, Q.cview(), W.view(), opts.nthreads);
 
   // Values through the batched direct path's shared preQR + GEBRD + BD2VAL
   // staging (on a copy when the factor path still needs W).
   {
-    MatrixT<T> Wc = W;
+    MatrixT<T> Wc;
+    if (opts.want_factors) Wc = W;
     std::vector<T> tfac(static_cast<std::size_t>(l) * l);
     std::vector<T> rbuf(static_cast<std::size_t>(l) * l);
     Bd2valInfo bi;
     const std::vector<T> svt = batched::small_svd_values<T>(
-        Wc.view(), tfac.data(), rbuf.data(), opts.bd2val, &bi);
+        opts.want_factors ? Wc.view() : W.view(), tfac.data(), rbuf.data(),
+        opts.bd2val, &bi);
     si.status = bi.status;
     si.qr_iterations = bi.qr_iterations;
     si.bisection_fallback = bi.bisection_fallback;
@@ -223,8 +255,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
       }  // a zero singular value has no defined vector; leave the column 0
     }
     res.U = MatrixT<T>(m, k);
-    gemm<T>(Trans::No, Trans::No, T(1), Q.cview(), Jk.cview(), T(0),
-            res.U.view());
+    gemm_rows<T>(Trans::No, Q.cview(), Jk.cview(), res.U.view(), opts.nthreads);
   }
 
   if (si.scaled) {

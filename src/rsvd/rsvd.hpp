@@ -44,9 +44,18 @@ struct GesvdTruncatedOptions {
   /// Sketch seed; runs are deterministic given (seed, shape, options).
   std::uint64_t seed = 0x5EEDBA5EDULL;
   TreeKind tree = TreeKind::Greedy;  ///< TSQR reduction tree
-  int nb = 0;        ///< tile size (0 = tuned, capped near the sketch width)
-  int ib = 0;        ///< inner blocking (0 = tuned)
-  int nthreads = 1;  ///< executor workers (>= 1)
+  /// TSQR tile size (0 = tuned; a sketch up to twice the tuned width is
+  /// one tile column padded only to a multiple of 8, where that pads less
+  /// than tuned-width tiles).
+  int nb = 0;
+  int ib = 0;  ///< inner blocking (0 = tuned)
+  /// Executor workers (>= 1). The A-products (split by rows of the
+  /// result), the TSQRs and the Q formations all run on them; products and
+  /// Q formations too small to give each worker kMinFmaPerWorker
+  /// multiply-adds use fewer, down to the calling thread alone. Results
+  /// are bitwise identical for every nthreads, except under
+  /// TreeKind::Auto, whose tree shape depends on the worker count.
+  int nthreads = 1;
   /// Also form the truncated factors: U (m x k) and V (n x k) with
   /// A ~= U diag(values) V^T.
   bool want_factors = false;

@@ -1,6 +1,7 @@
 #include "rsvd/tsqr.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -15,30 +16,38 @@ namespace tbsvd {
 
 namespace {
 
-// Same resolution rule as the dense SVD driver: explicit nb wins, the 0
-// sentinel takes the tuned nb capped at the panel width (rounded up for
-// kernel alignment, floored at 16 so tiles stay efficient). The cap
-// matters: every tile kernel costs O(nb^3) regardless of how many of the
-// nb columns are real, so a 64-wide tile on a 40-column sketch panel
-// wastes ~2.5x the flops in padding — and the range finder's TSQR runs on
-// exactly such panels.
+// Explicit nb wins. The 0 sentinel takes the tuned nb, except that a panel
+// up to twice that wide becomes a single tile column as wide as the panel
+// (rounded up to a multiple of 8 for kernel alignment, floored at 16 so
+// tiles stay efficient) wherever that pads less than tuned-width tiles do.
+// Every tile kernel costs O(nb^3) regardless of how many of the nb columns
+// are real, so rounding a 72-column sketch up to two 64-wide tile columns
+// would pay 1.78x the columns in padding, and a 64-wide tile on a
+// 40-column panel ~2.5x the flops — the range finder's TSQR runs on
+// exactly such panels. A panel that tuned-width tiles pad no more keeps
+// them (n = 2 nb stays two nb-wide tile columns).
 template <class T>
 int resolve_tsqr_nb(int requested, int n) {
   const int nb = tune::resolved_nb(requested, static_cast<int>(sizeof(T)),
                                    /*fallback=*/64);
-  if (requested > 0) return nb;
-  const int cap = std::max(16, ((n + 7) / 8) * 8);
-  return std::max(1, std::min(nb, cap));
+  if (requested > 0 || n > 2 * nb) return nb;
+  const int one_col = std::max(16, (n + 7) / 8 * 8);
+  return one_col < (n + nb - 1) / nb * nb ? one_col : nb;
 }
 
-// Replay the factorization's QR panel transforms over one tile column of C
-// (qform.cpp's pattern): forward order composes Q^T, reverse order Q.
+// Replay the factorization's QR panel transforms on C (qform.cpp's
+// pattern): forward order composes Q^T, reverse order Q. One task per
+// (panel op, tile column of C), each declaring ReadWrite on the C tiles it
+// updates: the executor's submission-order consistency applies every
+// tile's transforms in the serial order, so the result is bitwise the same
+// at any thread count, while independent branches of the reduction tree
+// and independent tile columns run concurrently.
 template <class T>
-void replay_col(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
-                int jq) {
+void replay_q(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
+              int nthreads) {
   using namespace kernels;
-  const int ib = f.ib;
-  auto apply = [&](const TileOp& t) {
+  TBSVD_CHECK(nthreads >= 1, "tsqr_apply_q: nthreads must be >= 1");
+  auto apply = [&f, &C, trans, ib = f.ib](const TileOp& t, int jq) {
     switch (t.op) {
       case Op::GEQRT:
         unmqr<T>(trans, f.A.tile(t.tgt, t.k), f.t.tqts.tile(t.tgt, t.k),
@@ -56,35 +65,32 @@ void replay_col(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
         break;
     }
   };
-  if (trans == Trans::Yes) {
-    for (const TileOp& t : f.ops) {
-      if (op_is_panel(t.op) && !op_is_lq(t.op)) apply(t);
-    }
-  } else {
-    for (auto it = f.ops.rbegin(); it != f.ops.rend(); ++it) {
-      if (op_is_panel(it->op) && !op_is_lq(it->op)) apply(*it);
-    }
-  }
-}
-
-// Tile columns of C are independent under the replay; one task per column
-// keeps the executor's queues busy without any inter-task dependencies.
-template <class T>
-void replay_q(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
-              int nthreads) {
-  TBSVD_CHECK(nthreads >= 1, "tsqr_apply_q: nthreads must be >= 1");
-  const int nct = C.nt();
-  if (nthreads == 1 || nct == 1) {
-    for (int jq = 0; jq < nct; ++jq) replay_col<T>(f, trans, C, jq);
-    return;
-  }
   TaskGraph g;
-  for (int jq = 0; jq < nct; ++jq) {
-    g.submit("tsqr_apply_col",
-             [&f, trans, &C, jq] { replay_col<T>(f, trans, C, jq); },
-             {{C.tile_ptr(0, jq), Access::Write}});
+  auto submit = [&](const TileOp& t) {
+    if (!op_is_panel(t.op) || op_is_lq(t.op)) return;
+    for (int jq = 0; jq < C.nt(); ++jq) {
+      std::vector<DataRef> refs{{C.tile_ptr(t.tgt, jq), Access::ReadWrite}};
+      if (t.op != Op::GEQRT) {
+        refs.push_back({C.tile_ptr(t.piv, jq), Access::ReadWrite});
+      }
+      g.submit("tsqr_apply_q", [&apply, t, jq] { apply(t, jq); }, refs);
+    }
+  };
+  if (trans == Trans::Yes) {
+    for (const TileOp& t : f.ops) submit(t);
+  } else {
+    for (auto it = f.ops.rbegin(); it != f.ops.rend(); ++it) submit(*it);
   }
-  g.run(nthreads);
+  // Applying f.n reflectors to the padded C is ~rows * f.n * cols
+  // multiply-adds; a replay too small to feed the workers runs on the
+  // calling thread.
+  const int workers = workers_for(
+      static_cast<long long>(C.rows()) * f.n * C.cols(), nthreads);
+  if (workers == 1) {
+    g.run_serial();
+  } else {
+    g.run(workers);
+  }
 }
 
 }  // namespace

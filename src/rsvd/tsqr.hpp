@@ -38,10 +38,12 @@ namespace tbsvd {
 struct TsqrOptions {
   /// Reduction tree combining the per-panel tile rows (paper Section III).
   TreeKind tree = TreeKind::Greedy;
-  /// Tile size; 0 resolves to the active calibration's tuned nb capped at
-  /// the panel width (tile kernels cost O(nb^3) whether or not the columns
-  /// are real, so a skinny sketch must not pad up to a mostly-empty tile)
-  /// and to the historical 64 when no calibration is loaded.
+  /// Tile size; 0 resolves to the active calibration's tuned nb (the
+  /// historical 64 when no calibration is loaded), except that a panel of
+  /// up to twice that width gets one tile column padded only to a multiple
+  /// of 8 wherever that pads less (tile kernels cost O(nb^3) whether or
+  /// not the columns are real, so a skinny sketch must not pad up to
+  /// mostly-empty tiles).
   int nb = 0;
   /// Inner blocking; 0 resolves to the tuned ib (historical 32), capped
   /// at nb.
@@ -81,15 +83,19 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts = {});
 /// Q here is the full orthogonal factor of the padded problem restricted
 /// to the leading f.m rows: after Q^T C the leading f.n rows carry the
 /// R-space coefficients (all a least-squares solve consumes); for Q C the
-/// thin-factor semantics hold when C's rows beyond f.n are zero. Tile
-/// columns of C are independent and fan out over the executor when
-/// nthreads > 1.
+/// thin-factor semantics hold when C's rows beyond f.n are zero. The
+/// replay is one task per (panel transform, tile column of C) on the
+/// executor, so independent reduction-tree branches and tile columns run
+/// concurrently; every tile sees its transforms in the serial order, so
+/// the result is bitwise the same for any nthreads. A replay too small to
+/// give each worker kMinFmaPerWorker multiply-adds uses fewer workers,
+/// down to the calling thread alone.
 template <class T>
 void tsqr_apply_q(const TsqrFactorsT<T>& f, Trans trans, MatrixViewT<T> C,
                   int nthreads = 1);
 
 /// The explicit thin factor: m x n Q with orthonormal columns and
-/// A = Q * R (applies Q to [I_n; 0] tile-column-parallel).
+/// A = Q * R (applies Q to [I_n; 0] through the same parallel replay).
 template <class T>
 MatrixT<T> tsqr_form_q(const TsqrFactorsT<T>& f, int nthreads = 1);
 

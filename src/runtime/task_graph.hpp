@@ -10,6 +10,7 @@
 //   g.run(nthreads);   // or g.run_serial() for a reference execution
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -50,6 +51,19 @@ class DepTracker {
   };
   std::unordered_map<const void*, DataState> state_;
 };
+
+/// Multiply-adds of evenly divisible work each started worker should
+/// carry: starting a run's workers (thread spawn and join) costs ~40 us on
+/// a 4-core Xeon VM, about the time 2^19 multiply-adds of serial gemm take
+/// there, so smaller shares lose more to start-up than they gain.
+inline constexpr long long kMinFmaPerWorker = 1LL << 19;
+
+/// Workers worth starting for `fma` multiply-adds of evenly divisible work,
+/// in [1, nthreads] (nthreads >= 1); 1 means run on the calling thread.
+[[nodiscard]] inline int workers_for(long long fma, int nthreads) {
+  return static_cast<int>(
+      std::clamp<long long>(fma / kMinFmaPerWorker, 1, nthreads));
+}
 
 /// Static task DAG with named tasks, priorities and trace collection.
 class TaskGraph {

@@ -6,7 +6,9 @@
 // factorization path beyond rounding noise is caught here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -300,6 +302,72 @@ TEST(BlasBlocked, GemmTrapFullSupportMatchesGemm) {
             TrapSide::A, UpLo::Upper, m);  // off >= m - 1: everything valid
   gemm(Trans::No, Trans::No, 1.0, A.cview(), B.cview(), 1.0, Cref.view());
   EXPECT_EQ(max_abs_diff(C.cview(), Cref.cview()), 0.0);
+}
+
+// Row-split products must reproduce the single call bitwise: the blocks are
+// micro-tile aligned and stay on the whole product's kernel path, and a
+// product whose smallest block would fall onto the direct loops is not
+// split at all.
+template <class T>
+void check_row_split(Trans ta, int m, int n, int k, int parts) {
+  SCOPED_TRACE(::testing::Message() << (ta == Trans::No ? "N " : "T ") << m
+                                    << "x" << n << " k=" << k << " parts="
+                                    << parts << " bytes=" << sizeof(T));
+  const Matrix Ad = ta == Trans::No ? random_matrix(m, k, 101)
+                                    : random_matrix(k, m, 101);
+  const Matrix Bd = random_matrix(k, n, 102);
+  MatrixT<T> A(Ad.rows(), Ad.cols()), B(k, n);
+  convert_matrix<T, double>(Ad.cview(), A.view());
+  convert_matrix<T, double>(Bd.cview(), B.view());
+  MatrixT<T> whole(m, n), split(m, n);
+  gemm<T>(ta, Trans::No, T(1), A.cview(), B.cview(), T(0), whole.view());
+  const int rb = gemm_row_block<T>(m, n, k, parts);
+  ASSERT_GE(rb, 1);
+  ASSERT_LE(rb, m);
+  if (rb < m) {
+    EXPECT_EQ(rb % detail::MicroTile<T>::kMR, 0);
+  }
+  for (int r0 = 0; r0 < m; r0 += rb) {
+    const int mr = std::min(rb, m - r0);
+    const ConstMatrixViewT<T> Ab = ta == Trans::No
+                                       ? A.cview().block(r0, 0, mr, k)
+                                       : A.cview().block(0, r0, k, mr);
+    gemm<T>(ta, Trans::No, T(1), Ab, B.cview(), T(0),
+            split.view().block(r0, 0, mr, n));
+  }
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      ASSERT_EQ(split(i, j), whole(i, j)) << "at " << i << "," << j;
+    }
+  }
+}
+
+TEST(BlasBlocked, RowBlockSplitIsBitwiseTheWholeProduct) {
+  for (const Trans ta : {Trans::No, Trans::Yes}) {
+    for (int parts = 1; parts <= 4; ++parts) {
+      for (const auto& [m, n, k] :
+           {std::tuple{333, 18, 100}, {100, 18, 333}, {1000, 72, 300},
+            {40, 8, 8}, {8, 8, 40}, {70, 1, 20}}) {
+        check_row_split<double>(ta, m, n, k, parts);
+        check_row_split<float>(ta, m, n, k, parts);
+      }
+    }
+  }
+}
+
+TEST(BlasBlocked, RowBlockKeepsDirectPathProductsWhole) {
+  // Whole product on the direct loops (8x8 output, short k): never split.
+  EXPECT_EQ(gemm_row_block<double>(8, 8, 40, 4), 8);
+  // k <= kSmallK is direct at any size.
+  EXPECT_EQ(gemm_row_block<double>(4096, 64, detail::kSmallK, 4), 4096);
+  // A packed-path product whose last row block (40 - MR rows or fewer,
+  // times 8 columns) would drop onto the direct loops stays one call.
+  EXPECT_EQ(gemm_row_block<double>(40, 8, 8, 4), 40);
+  // Large products split into micro-tile-aligned blocks, one per part.
+  const int rb = gemm_row_block<double>(16384, 72, 1024, 4);
+  EXPECT_EQ(rb % detail::MicroTile<double>::kMR, 0);
+  EXPECT_EQ((16384 + rb - 1) / rb, 4);
+  EXPECT_EQ(gemm_row_block<double>(16384, 72, 1024, 1), 16384);
 }
 
 TEST(BlasBlocked, GeqrtUnmqrRoundTrip) {

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/svd.hpp"
@@ -19,6 +22,7 @@
 #include "runtime/task_graph.hpp"
 #include "test_harness.hpp"
 #include "tile/matrix_gen.hpp"
+#include "tune/tune.hpp"
 
 namespace tbsvd {
 namespace {
@@ -144,6 +148,114 @@ TEST(Tsqr, ThreadedMatchesSerialBitwise) {
   }
 }
 
+template <class T>
+void expect_bitwise(ConstMatrixViewT<T> got, ConstMatrixViewT<T> want,
+                    const char* what) {
+  ASSERT_EQ(got.m, want.m) << what;
+  ASSERT_EQ(got.n, want.n) << what;
+  for (int j = 0; j < got.n; ++j) {
+    for (int i = 0; i < got.m; ++i) {
+      ASSERT_EQ(got(i, j), want(i, j)) << what << " at " << i << "," << j;
+    }
+  }
+}
+
+// The implicit-Q replay is one task per (panel transform, tile column);
+// every thread count must reproduce the single-threaded replay bitwise, for
+// every tree, with one tile column (a panel-wide tile) and with several.
+// Explicit tile sizes keep the tile-column counts independent of any
+// loaded calibration; the shapes are large enough that every replay runs
+// on all the workers asked for.
+TEST(Tsqr, ReplayBitwiseAcrossThreadCounts) {
+  const int m = 2000;
+  struct Case {
+    int n, nb, cn;  // panel width, tile size, columns of C
+  };
+  for (const Case c : {Case{40, 40, 33}, Case{64, 16, 20}}) {
+    const Matrix A = random_matrix(m, c.n, 4000 + c.n);
+    const Matrix C0 = random_matrix(m, c.cn, 5000 + c.n);
+    for (const TreeKind tree : {TreeKind::Greedy, TreeKind::FlatTT,
+                                TreeKind::FlatTS, TreeKind::Auto}) {
+      SCOPED_TRACE(std::string(tree_name(tree)) + " n=" +
+                   std::to_string(c.n));
+      TsqrOptions opts;
+      opts.tree = tree;
+      opts.nb = c.nb;
+      const TsqrFactors f = tsqr<double>(A.cview(), opts);
+      ASSERT_EQ(f.A.nt(), (c.n + c.nb - 1) / c.nb);
+      const Matrix Q1 = tsqr_form_q<double>(f, 1);
+      Matrix Cy1 = C0, Cn1 = C0;
+      tsqr_apply_q<double>(f, Trans::Yes, Cy1.view(), 1);
+      tsqr_apply_q<double>(f, Trans::No, Cn1.view(), 1);
+      for (int nt = 2; nt <= 4; ++nt) {
+        SCOPED_TRACE("nthreads=" + std::to_string(nt));
+        expect_bitwise<double>(tsqr_form_q<double>(f, nt).cview(),
+                               Q1.cview(), "form_q");
+        Matrix Cy = C0, Cn = C0;
+        tsqr_apply_q<double>(f, Trans::Yes, Cy.view(), nt);
+        tsqr_apply_q<double>(f, Trans::No, Cn.view(), nt);
+        expect_bitwise<double>(Cy.cview(), Cy1.cview(), "Q^T C");
+        expect_bitwise<double>(Cn.cview(), Cn1.cview(), "Q C");
+      }
+    }
+  }
+}
+
+// Runs a test with no calibration loaded, so 0-sentinel tile sizes resolve
+// to the historical fallbacks whatever TBSVD_TUNE_FILE or the user's cache
+// holds; restores the environment and the active calibration afterwards.
+class Untuned : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    save("TBSVD_TUNE_FILE");
+    save("XDG_CACHE_HOME");
+    ::unsetenv("TBSVD_TUNE_FILE");
+    ::setenv("XDG_CACHE_HOME",
+             (::testing::TempDir() + "rsvd_untuned_cache").c_str(), 1);
+    tune::reset_active();
+  }
+  void TearDown() override {
+    for (const auto& [name, value] : saved_) {
+      if (value.second) {
+        ::setenv(name.c_str(), value.first.c_str(), 1);
+      } else {
+        ::unsetenv(name.c_str());
+      }
+    }
+    tune::reset_active();
+  }
+
+ private:
+  void save(const char* name) {
+    const char* v = std::getenv(name);
+    saved_.emplace_back(name,
+                        std::make_pair(v != nullptr ? v : "", v != nullptr));
+  }
+  std::vector<std::pair<std::string, std::pair<std::string, bool>>> saved_;
+};
+
+// With the untuned nb = 64: a 72-column sketch is one 72-wide tile column,
+// not two 64-wide ones, and so is a 120-column panel; a 128-column panel
+// (two full tiles, no padding) and one wider than twice nb keep nb = 64;
+// a 5-column panel gets the 16-wide floor; an explicit nb always wins.
+TEST_F(Untuned, AutoTileWidthPadsSketchToMultipleOf8) {
+  ASSERT_EQ(tune::active(), nullptr);
+  auto auto_nb = [](int m, int n) {
+    return tsqr<double>(random_matrix(m, n, 60 + n).cview(), {}).A.nb();
+  };
+  const Matrix A = random_matrix(200, 72, 61);
+  const TsqrFactors f = tsqr<double>(A.cview(), {});
+  EXPECT_EQ(f.A.nb(), 72);
+  EXPECT_EQ(f.A.nt(), 1);
+  TsqrOptions explicit_nb;
+  explicit_nb.nb = 32;
+  EXPECT_EQ(tsqr<double>(A.cview(), explicit_nb).A.nb(), 32);
+  EXPECT_EQ(auto_nb(200, 120), 120);
+  EXPECT_EQ(auto_nb(200, 128), 64);
+  EXPECT_EQ(auto_nb(300, 130), 64);
+  EXPECT_EQ(auto_nb(50, 5), 16);
+}
+
 TEST(Tsqr, TypedErrors) {
   const Matrix A = random_matrix(16, 32, 3);  // wide
   EXPECT_THROW(tsqr<double>(A.cview(), {}), invalid_argument_error);
@@ -190,6 +302,40 @@ TEST(GesvdTruncated, TreeAndThreadVariantsAgree) {
     for (int i = 0; i < k; ++i) {
       EXPECT_NEAR(tr.values[i], full[i], 1e-8 * full[0])
           << tree_name(tree) << " value " << i;
+    }
+  }
+}
+
+// Values and factors bitwise identical across worker counts: the row-split
+// A-products, the TSQRs and the Q replays all reproduce the serial result.
+// 2001x160 with k = 42 splits every A-product and U = Q Jk into row blocks
+// at 2..4 threads; m is not a multiple of the micro-tile and l = 50 is not
+// a multiple of the tile size (auto: one tile column; nb = 16: four). The
+// tiny k = 1 problems (40x8, 60x36) are products too small to split, whose
+// blocks would also fall onto the direct gemm loops.
+TEST(GesvdTruncated, BitwiseAcrossThreadCounts) {
+  struct Case {
+    int m, n, k, nb;
+  };
+  for (const Case c : {Case{2001, 160, 42, 0}, Case{2001, 160, 42, 16},
+                       Case{40, 8, 1, 0}, Case{60, 36, 1, 0}}) {
+    SCOPED_TRACE(std::to_string(c.m) + "x" + std::to_string(c.n) + " k=" +
+                 std::to_string(c.k) + " nb=" + std::to_string(c.nb));
+    const Matrix A = low_rank_input(c.m, c.n, c.k, 1e-3, 300 + c.nb);
+    GesvdTruncatedOptions opts;
+    opts.nb = c.nb;
+    opts.want_factors = true;
+    const TruncatedSvd ref = gesvd_truncated<double>(A.cview(), c.k, opts);
+    for (int nt = 2; nt <= 4; ++nt) {
+      SCOPED_TRACE("nthreads=" + std::to_string(nt));
+      opts.nthreads = nt;
+      const TruncatedSvd tr = gesvd_truncated<double>(A.cview(), c.k, opts);
+      ASSERT_EQ(tr.values.size(), ref.values.size());
+      for (std::size_t i = 0; i < ref.values.size(); ++i) {
+        EXPECT_EQ(tr.values[i], ref.values[i]) << "value " << i;
+      }
+      expect_bitwise<double>(tr.U.cview(), ref.U.cview(), "U");
+      expect_bitwise<double>(tr.V.cview(), ref.V.cview(), "V");
     }
   }
 }
